@@ -22,9 +22,10 @@
 //   - //orthrus:allow(hotpath) <reason> suppresses a single site.
 //
 // Dynamic calls — function values, interface dispatch — are not
-// traversed; hot loops that dispatch through an interface (the SPSC
-// ring behind spsc.Queue) annotate the concrete implementations as
-// roots instead.
+// traversed; hot loops that dispatch through an interface (the
+// orthrus package's sender, behind which an SPSC ring or a tcp
+// netQueue publishes) annotate the concrete implementations as roots
+// instead.
 package hotpath
 
 import (

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine/twopl"
 	"repro/internal/orthrus"
 	"repro/internal/partstore"
+	"repro/internal/storage"
 	"repro/internal/tpcc"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -126,7 +127,7 @@ const fig6Partitions = 16
 func fig6(c Config) {
 	total := c.MaxThreads
 	header(c, fmt.Sprintf("Figure 6: partitions accessed per transaction (%d partitions, %d threads)", fig6Partitions, total))
-	names := []string{"partstore", "split-orthrus", "split-dlfree", "orthrus", "dlfree"}
+	names := []string{"partstore", "orthrus", "dlfree"}
 	t := newTable(c, "parts_per_txn", names)
 	for _, spread := range []int{1, 2, 4, 6, 8, 10} {
 		tps := make([]float64, 0, len(names))
@@ -134,20 +135,24 @@ func fig6(c Config) {
 			db, tbl := newYCSBDB(c)
 			src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
 				Partitions: fig6Partitions, Spread: spread, MultiPartitionPct: 100}
-			var eng engine.Engine
-			switch sys {
-			case "partstore":
-				eng = partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
-					Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
-			case "split-orthrus", "orthrus":
-				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
-					ExecThreads: max(1, total-fig6Partitions), Split: sys == "split-orthrus"})
-			case "split-dlfree", "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: total, Split: sys == "split-dlfree"})
-			}
-			tps = append(tps, point(c, eng, src).Throughput())
+			tps = append(tps, point(c, fig6Engine(sys, db, total), src).Throughput())
 		}
 		t.row(spread, tps)
+	}
+}
+
+// fig6Engine builds one fig6/fig7 series over fig6Partitions partitions
+// with total threads.
+func fig6Engine(sys string, db *storage.DB, total int) engine.Engine {
+	switch sys {
+	case "partstore":
+		return partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
+			Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
+	case "orthrus":
+		return orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
+			ExecThreads: max(1, total-fig6Partitions)})
+	default:
+		return dlfree.New(dlfree.Config{DB: db, Threads: total})
 	}
 }
 
@@ -155,7 +160,7 @@ func fig6(c Config) {
 func fig7(c Config) {
 	total := c.MaxThreads
 	header(c, fmt.Sprintf("Figure 7: %% multi-partition transactions (%d partitions, %d threads)", fig6Partitions, total))
-	names := []string{"partstore", "split-orthrus", "split-dlfree", "orthrus", "dlfree"}
+	names := []string{"partstore", "orthrus", "dlfree"}
 	t := newTable(c, "mp_pct", names)
 	for _, pct := range []int{0, 20, 40, 60, 80, 100} {
 		tps := make([]float64, 0, len(names))
@@ -163,18 +168,7 @@ func fig7(c Config) {
 			db, tbl := newYCSBDB(c)
 			src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
 				Partitions: fig6Partitions, Spread: 2, MultiPartitionPct: pct}
-			var eng engine.Engine
-			switch sys {
-			case "partstore":
-				eng = partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
-					Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
-			case "split-orthrus", "orthrus":
-				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
-					ExecThreads: max(1, total-fig6Partitions), Split: sys == "split-orthrus"})
-			case "split-dlfree", "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: total, Split: sys == "split-dlfree"})
-			}
-			tps = append(tps, point(c, eng, src).Throughput())
+			tps = append(tps, point(c, fig6Engine(sys, db, total), src).Throughput())
 		}
 		t.row(pct, tps)
 	}

@@ -368,8 +368,8 @@ func (c *ccThread) loop() {
 // thread never idles or exits on buffered output.
 func (c *ccThread) drainAll() bool {
 	progress := false
-	for e := range c.s.execToCC {
-		if c.drainRing(c.s.execToCC[e][c.id], true) {
+	for e := range c.s.execToCCRecv {
+		if c.drainRing(c.s.execToCCRecv[e][c.id], true) {
 			progress = true
 		}
 	}
@@ -392,7 +392,7 @@ func (c *ccThread) drainAll() bool {
 // drainRing batch-consumes one input ring until it is empty. fromExec
 // distinguishes exec→CC rings (acquires and releases) from CC→CC rings
 // (forwarded acquires) for the per-thread message breakdown.
-func (c *ccThread) drainRing(q spsc.Queue[message], fromExec bool) bool {
+func (c *ccThread) drainRing(q *spsc.Ring[message], fromExec bool) bool {
 	progress := false
 	for {
 		n := q.DequeueBatch(c.inbuf)
@@ -613,7 +613,7 @@ func (c *ccThread) pushGrant(to int, m message) {
 // outstanding anywhere, so buffered grants plus ring occupancy never
 // exceed capacity: the flush cannot block the liveness chain.
 func (c *ccThread) flushGrant(to int) {
-	flushOutbox(c.s.ccToExec[c.id][to], &c.grantOut[to], &c.ops)
+	flushOutbox(c.s.ccToExecSend[c.id][to], &c.grantOut[to], &c.ops)
 }
 
 // flushAll publishes every outbox. Handling happens only inside drain

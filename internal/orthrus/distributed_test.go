@@ -253,10 +253,6 @@ func TestTransportConfigValidationPanics(t *testing.T) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
 			c.Controller = ControllerConfig{Enable: true}
 		}},
-		{"tcp-with-channels", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.UseChannels = true
-		}},
 	}
 	for _, tc := range cases {
 		tc := tc

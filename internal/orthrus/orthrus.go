@@ -134,20 +134,11 @@ type Config struct {
 	// almost immediately, like BatchSize=1. A positive value pins the
 	// historical static behaviour. See batch.go.
 	BatchSize int
-	// UseChannels swaps the SPSC rings for buffered Go channels — the
-	// transport ablation.
-	UseChannels bool
 	// SharedTable switches to the §3.4 alternative: CC threads operate on
 	// a single latched lock table instead of private partitions. Request
 	// routing is unchanged, so the variant isolates the cost of sharing
 	// the concurrency-control data structure itself.
 	SharedTable bool
-	// Split marks the "SPLIT ORTHRUS" variant of Figures 6/7 (physically
-	// partitioned indexes). As with split deadlock-free, the benefit the
-	// paper measures is cache locality, which this reproduction cannot
-	// exhibit; the flag changes only the reported name. See README.md
-	// "Scale and fidelity".
-	Split bool
 	// DisableForwarding reverts to the naive protocol of §3.3/Figure 2:
 	// the execution thread mediates every CC interaction itself, paying
 	// 2·Ncc messages per acquisition instead of Ncc+1. Exists to ablate
@@ -215,11 +206,7 @@ type MessageStats struct {
 	// atomic store, so with BatchSize=1 each counter equals
 	// TotalMessages() and with batching they fall toward
 	// TotalMessages()/k — the saving the batched message plane exists
-	// for. On the UseChannels ablation the counters keep the same
-	// batch-structure meaning, but a channel "batch" is a convenience
-	// loop that still pays one channel send/receive per message, so
-	// MessagesPerEnqueue does NOT measure an achieved cost amortization
-	// there.
+	// for.
 	EnqueueOps uint64
 	DequeueOps uint64
 
@@ -387,13 +374,8 @@ func (c Config) Validate() {
 	c.Snapshot.Validate()
 	c.Checkpoint.Validate()
 	c.Transport.Validate()
-	if c.Transport.remote() {
-		if c.Controller.Enable {
-			panic("orthrus: the adaptive controller requires the in-process transport (live migration is node-local)")
-		}
-		if c.UseChannels {
-			panic("orthrus: UseChannels is an in-process ring ablation; incompatible with Transport.Kind \"tcp\"")
-		}
+	if c.Transport.remote() && c.Controller.Enable {
+		panic("orthrus: the adaptive controller requires the in-process transport (live migration is node-local)")
 	}
 }
 
@@ -428,14 +410,8 @@ func New(cfg Config) *Engine {
 // Name implements engine.Engine.
 func (e *Engine) Name() string {
 	base := "orthrus"
-	if e.cfg.Split {
-		base = "split-orthrus"
-	}
 	if e.cfg.SharedTable {
 		base += "-shared"
-	}
-	if e.cfg.UseChannels {
-		base += "-chan"
 	}
 	if e.cfg.Controller.Enable {
 		base += "-elastic"
@@ -477,13 +453,19 @@ type pidCounter struct {
 type runState struct {
 	cfg Config
 	// tr is the message-plane backend; it populates the three queue
-	// planes below (install) and owns any cross-process machinery.
-	tr       Transport
-	execToCC [][]spsc.Queue[message] // [exec][cc]
-	ccToCC   [][]spsc.Queue[message] // [from][to], used only for from < to
-	ccToExec [][]spsc.Queue[message] // [cc][exec]
-	shared   *sharedTable            // non-nil in SharedTable mode
-	ccStop   atomic.Bool
+	// planes below (install) and owns any cross-process machinery. The
+	// exec→CC and CC→exec planes have a producer view (Send, taken by
+	// flushOutbox) and a consumer view (Recv, drained directly). In
+	// process both views name the same ring; a tcp node fills only the
+	// views of the role it hosts. CC→CC forwards never leave a node.
+	tr           Transport
+	execToCCSend [][]sender              // [exec][cc]
+	execToCCRecv [][]*spsc.Ring[message] // [exec][cc]
+	ccToCC       [][]*spsc.Ring[message] // [from][to], used only for from < to
+	ccToExecSend [][]sender              // [cc][exec]
+	ccToExecRecv [][]*spsc.Ring[message] // [cc][exec]
+	shared       *sharedTable            // non-nil in SharedTable mode
+	ccStop       atomic.Bool
 
 	// Two-level routing: rt is the current epoch's logical-partition →
 	// CC-thread table; epochs tracks in-flight transactions per routing
@@ -999,7 +981,7 @@ func (x *execThread) loop() {
 func (x *execThread) drainGrants() bool {
 	progress := false
 	for c := 0; c < x.s.cfg.CCThreads; c++ {
-		q := x.s.ccToExec[c][x.id]
+		q := x.s.ccToExecRecv[c][x.id]
 		for {
 			n := q.DequeueBatch(x.scratch)
 			if n == 0 {
@@ -1224,15 +1206,23 @@ func (x *execThread) flushAll() {
 // acyclically toward the highest CC thread, which only sends grants
 // (see flushForward).
 func (x *execThread) flushDest(c int) {
-	flushOutbox(x.s.execToCC[x.id][c], &x.out[c], &x.ops)
+	flushOutbox(x.s.execToCCSend[x.id][c], &x.out[c], &x.ops)
+}
+
+// sender is the producer half of one message-plane queue: a local
+// *spsc.Ring, or a netQueue whose consumer lives on the peer node.
+// TryEnqueueBatch publishes a prefix of vs and returns its length; 0
+// means the queue is full for now.
+type sender interface {
+	TryEnqueueBatch(vs []message) int
 }
 
 // flushOutbox publishes *buf to q in batches, spinning politely while
-// the ring is full, counting one ring operation per successful publish.
+// the queue is full, counting one operation per successful publish.
 // It consumes nothing and calls no handlers, so it is safe to invoke
 // from inside any drain loop — the caller's scratch buffers and outboxes
 // cannot be mutated underneath it.
-func flushOutbox(q spsc.Queue[message], buf *[]message, ops *opCounter) {
+func flushOutbox(q sender, buf *[]message, ops *opCounter) {
 	for len(*buf) > 0 {
 		n := q.TryEnqueueBatch(*buf)
 		if n > 0 {

@@ -3,7 +3,6 @@ package orthrus
 import (
 	"fmt"
 	"net"
-	"runtime"
 
 	"repro/internal/spsc"
 	wire "repro/internal/transport"
@@ -131,6 +130,66 @@ type Transport interface {
 	shutdown() NetStats
 }
 
+// installPlanes builds the queue planes for the thread roles this node
+// hosts (s.tr). Each exec→CC and CC→exec queue gets a ring where its
+// consumer runs; the producer view is that same ring when the producer
+// runs here too, remote(plane, from, to) when only the producer does,
+// and nil when only the consumer does (the peer's reader feeds the ring
+// then). CC→CC forwards stay on the node hosting the CC threads.
+func (s *runState) installPlanes(remote func(plane uint8, from, to int) sender) {
+	cfg := s.cfg
+	hostsCC, hostsExec := s.tr.hostsCC(), s.tr.hostsExec()
+	views := func(plane uint8, from, to, capacity int, sendHere, recvHere bool) (sender, *spsc.Ring[message]) {
+		if !recvHere {
+			return remote(plane, from, to), nil
+		}
+		r := spsc.New[message](capacity)
+		if !sendHere {
+			return nil, r
+		}
+		return r, r
+	}
+	s.execToCCSend = matrix[sender](cfg.ExecThreads, cfg.CCThreads)
+	s.execToCCRecv = matrix[*spsc.Ring[message]](cfg.ExecThreads, cfg.CCThreads)
+	for x := range s.execToCCSend {
+		for c := range s.execToCCSend[x] {
+			s.execToCCSend[x][c], s.execToCCRecv[x][c] =
+				views(wire.PlaneExecCC, x, c, cfg.QueueCap, hostsExec, hostsCC)
+		}
+	}
+	// A CC thread must never block sending grants (liveness of the
+	// message plane relies on it), so grant rings hold the whole
+	// in-flight window.
+	grantCap := max(cfg.QueueCap, cfg.Inflight)
+	s.ccToExecSend = matrix[sender](cfg.CCThreads, cfg.ExecThreads)
+	s.ccToExecRecv = matrix[*spsc.Ring[message]](cfg.CCThreads, cfg.ExecThreads)
+	for c := range s.ccToExecSend {
+		for x := range s.ccToExecSend[c] {
+			s.ccToExecSend[c][x], s.ccToExecRecv[c][x] =
+				views(wire.PlaneCCExec, c, x, grantCap, hostsCC, hostsExec)
+		}
+	}
+	if hostsCC {
+		s.ccToCC = matrix[*spsc.Ring[message]](cfg.CCThreads, cfg.CCThreads)
+		for i := range s.ccToCC {
+			for j := range s.ccToCC[i] {
+				if i != j {
+					s.ccToCC[i][j] = spsc.New[message](cfg.QueueCap)
+				}
+			}
+		}
+	}
+}
+
+// matrix returns a rows×cols matrix of zero values.
+func matrix[T any](rows, cols int) [][]T {
+	m := make([][]T, rows)
+	for i := range m {
+		m[i] = make([]T, cols)
+	}
+	return m
+}
+
 // newTransport selects the backend for a validated Config.
 func newTransport(cfg Config) Transport {
 	tc := cfg.Transport
@@ -146,52 +205,16 @@ func newTransport(cfg Config) Transport {
 
 // --- in-process backend ---------------------------------------------------
 
-// inprocTransport is the historical message plane: full SPSC ring (or,
-// under the UseChannels ablation, buffered channel) matrices for all
-// three planes, every thread in one process.
+// inprocTransport runs every thread in one process: all three planes
+// are SPSC ring matrices, and each exec→CC and CC→exec producer view is
+// the very ring its consumer drains.
 type inprocTransport struct{}
 
 func (inprocTransport) name() string    { return "inproc" }
 func (inprocTransport) hostsCC() bool   { return true }
 func (inprocTransport) hostsExec() bool { return true }
 
-func (inprocTransport) install(s *runState) {
-	cfg := s.cfg
-	grantCap := cfg.QueueCap
-	if grantCap < cfg.Inflight {
-		// A CC thread must never block sending grants (liveness of the
-		// message plane relies on it), so grant rings hold the whole
-		// in-flight window.
-		grantCap = cfg.Inflight
-	}
-	newQ := func(capacity int) spsc.Queue[message] {
-		if cfg.UseChannels {
-			return spsc.NewChan[message](capacity)
-		}
-		return spsc.New[message](capacity)
-	}
-	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
-	for i := range s.execToCC {
-		s.execToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
-		for j := range s.execToCC[i] {
-			s.execToCC[i][j] = newQ(cfg.QueueCap)
-		}
-	}
-	s.ccToCC = make([][]spsc.Queue[message], cfg.CCThreads)
-	s.ccToExec = make([][]spsc.Queue[message], cfg.CCThreads)
-	for i := range s.ccToCC {
-		s.ccToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
-		for j := range s.ccToCC[i] {
-			if i != j {
-				s.ccToCC[i][j] = newQ(cfg.QueueCap)
-			}
-		}
-		s.ccToExec[i] = make([]spsc.Queue[message], cfg.ExecThreads)
-		for j := range s.ccToExec[i] {
-			s.ccToExec[i][j] = newQ(grantCap)
-		}
-	}
-}
+func (inprocTransport) install(s *runState) { s.installPlanes(nil) }
 
 func (inprocTransport) execDone()          {}
 func (inprocTransport) ccGate()            {}
@@ -336,42 +359,7 @@ func (t *tcpTransport) install(s *runState) {
 	// Queue planes: real rings where this node consumes, netQueues
 	// where the consumer is remote. The reader goroutine is the single
 	// producer for every wire-fed ring.
-	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
-	s.ccToCC = make([][]spsc.Queue[message], cfg.CCThreads)
-	s.ccToExec = make([][]spsc.Queue[message], cfg.CCThreads)
-	for x := range s.execToCC {
-		s.execToCC[x] = make([]spsc.Queue[message], cfg.CCThreads)
-		for c := range s.execToCC[x] {
-			if t.role == wire.RoleCC {
-				s.execToCC[x][c] = spsc.New[message](cfg.QueueCap)
-			} else {
-				s.execToCC[x][c] = t.newNetQueue(wire.PlaneExecCC, x, c)
-			}
-		}
-	}
-	grantCap := cfg.QueueCap
-	if grantCap < cfg.Inflight {
-		grantCap = cfg.Inflight
-	}
-	for c := range s.ccToCC {
-		s.ccToCC[c] = make([]spsc.Queue[message], cfg.CCThreads)
-		if t.role == wire.RoleCC {
-			// Forwards stay node-local.
-			for j := range s.ccToCC[c] {
-				if c != j {
-					s.ccToCC[c][j] = spsc.New[message](cfg.QueueCap)
-				}
-			}
-		}
-		s.ccToExec[c] = make([]spsc.Queue[message], cfg.ExecThreads)
-		for x := range s.ccToExec[c] {
-			if t.role == wire.RoleCC {
-				s.ccToExec[c][x] = t.newNetQueue(wire.PlaneCCExec, c, x)
-			} else {
-				s.ccToExec[c][x] = spsc.New[message](grantCap)
-			}
-		}
-	}
+	s.installPlanes(t.newNetQueue)
 
 	if t.role == wire.RoleCC {
 		t.reg = make(map[uint64]*wrapper, cfg.ExecThreads*cfg.Inflight*2)
@@ -380,7 +368,7 @@ func (t *tcpTransport) install(s *runState) {
 	go t.readLoop()
 }
 
-func (t *tcpTransport) newNetQueue(plane uint8, from, to int) *netQueue {
+func (t *tcpTransport) newNetQueue(plane uint8, from, to int) sender {
 	q := &netQueue{t: t, plane: plane, from: uint16(from), to: uint16(to)}
 	t.queues = append(t.queues, q)
 	return q
@@ -478,13 +466,13 @@ func (t *tcpTransport) readLoop() {
 // full — the reader is the wire's backpressure point, exactly as a
 // sending thread is on the in-process plane.
 func (t *tcpTransport) dispatch(f *wire.Frame) {
-	var q spsc.Queue[message]
+	var q *spsc.Ring[message]
 	switch {
 	case t.role == wire.RoleCC && f.Plane == wire.PlaneExecCC:
 		if int(f.From) >= t.cfg.ExecThreads || int(f.To) >= t.cfg.CCThreads {
 			panic(fmt.Sprintf("orthrus: tcp transport: frame addresses unknown queue %d->%d", f.From, f.To))
 		}
-		q = t.s.execToCC[f.From][f.To]
+		q = t.s.execToCCRecv[f.From][f.To]
 		for i := range f.Msgs {
 			m := &f.Msgs[i]
 			switch m.Kind {
@@ -510,7 +498,7 @@ func (t *tcpTransport) dispatch(f *wire.Frame) {
 		if int(f.From) >= t.cfg.CCThreads || int(f.To) >= t.cfg.ExecThreads {
 			panic(fmt.Sprintf("orthrus: tcp transport: frame addresses unknown queue %d->%d", f.From, f.To))
 		}
-		q = t.s.ccToExec[f.From][f.To]
+		q = t.s.ccToExecRecv[f.From][f.To]
 		for i := range f.Msgs {
 			m := &f.Msgs[i]
 			if m.Kind != wire.KindGrant {
@@ -577,10 +565,10 @@ func (t *tcpTransport) materialize(m *wire.Msg) *wrapper {
 	return w
 }
 
-// netQueue adapts one remote (plane, from, to) queue slot to the
-// spsc.Queue interface: the producing thread's flushOutbox pass becomes
-// one wire frame handed to the peer's writer goroutine. Send-only — the
-// consuming side of a wire queue is a real ring fed by the reader.
+// netQueue is the sender for one remote (plane, from, to) queue: the
+// producing thread's flushOutbox pass becomes one wire frame handed to
+// the peer's writer goroutine. The consuming side of a wire queue is a
+// real ring on the peer, fed by the peer's reader.
 //
 // Message payloads are copied into the frame at enqueue time, so a
 // wrapper recycled immediately after (releases carry only the wire id)
@@ -659,43 +647,3 @@ func (q *netQueue) fill(wm *wire.Msg, m *message) {
 		}
 	}
 }
-
-//orthrus:hotpath
-func (q *netQueue) TryEnqueue(v message) bool {
-	var vs [1]message
-	vs[0] = v
-	return q.TryEnqueueBatch(vs[:]) == 1
-}
-
-//orthrus:hotpath
-func (q *netQueue) Enqueue(v message) bool {
-	for !q.TryEnqueue(v) {
-		runtime.Gosched()
-	}
-	return true
-}
-
-func (q *netQueue) TryDequeue() (message, bool) {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
-func (q *netQueue) Dequeue() (message, bool) {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
-func (q *netQueue) DequeueBatch([]message) int {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
-func (q *netQueue) Close() {}
-
-// Len reports only what is locally observable (a parked frame's
-// messages); in-flight wire traffic is not countable here.
-func (q *netQueue) Len() int {
-	if q.pending != nil {
-		return len(q.pending.Msgs)
-	}
-	return 0
-}
-
-var _ spsc.Queue[message] = (*netQueue)(nil)

@@ -57,7 +57,7 @@ func (r *unpaddedRing[T]) TryDequeue() (v T, ok bool) {
 	return v, true
 }
 
-// pingPongQueue is the slice of the Queue surface the ping-pong exercise
+// pingPongQueue is the slice of the Ring API the ping-pong exercise
 // needs, satisfied by both Ring and the unpadded control.
 type pingPongQueue interface {
 	TryEnqueue(uint64) bool
